@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 # --soak: the CI nightly job, runnable locally — ONLY the stress-labeled
-# sweeps (fault injection, worker-loss crashes), under ThreadSanitizer,
+# fault-injection sweeps, under ThreadSanitizer,
 # at 4x the acceptance seed depth (override with LCWS_FI_SEEDS).
 if [[ "${1:-}" == "--soak" ]]; then
   shift
@@ -71,5 +71,5 @@ echo "== preset: asan (hardening suites) =="
 cmake --preset asan
 cmake --build --preset asan -j "${jobs}"
 ctest --preset asan -j "${jobs}" \
-  -R '([Ee]xception|[Ff]ault|[Ww]atchdog|[Dd]eque|[Ss]hutdown|[Hh]ealth|[Dd]egrad|DumpOnExit|StealThrottle|Backoff|[Tt]race|PerfCounters|WorkerLoss)' \
+  -R '([Ee]xception|[Ff]ault|[Ww]atchdog|[Dd]eque|[Ss]hutdown|[Hh]ealth|[Dd]egrad|DumpOnExit|StealThrottle|Backoff|[Tt]race|PerfCounters|Cancel)' \
   "${label_filter[@]}" "$@"

@@ -109,9 +109,8 @@ def key_locality(row):
 
 
 def key_degraded(row):
-    # Older rows predate the scenario field: they are the signal-failure
-    # sweep. Newer rows add scenario="worker_loss" (§11) under the same
-    # baseline file.
+    # Rows without a scenario field are the signal-failure sweep, the
+    # only scenario degraded_mode runs.
     return (row.get("scenario", "signal_fail"), row.get("scheduler"),
             row.get("fail_permille"), row.get("corun"))
 

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "balance_identities.h"
 #include "deque/wsmult_deque.h"
 #include "parallel/parallel_for.h"
 #include "sched/dispatch.h"
@@ -121,28 +122,11 @@ TEST_P(FaultSweep, CompletesCorrectlyWithBalancedStatsUnderFaults) {
       });
       EXPECT_EQ(sum.load(), 4096ull * 4095 / 2)
           << to_string(kind) << " seed " << seed;
-      // Balance: every pushed job consumed exactly once, every original
-      // job executed exactly once (re-pushes from Lace unexposure are the
-      // only double-counted pushes), and no counter went negative.
+      // Balance (balance_identities.h), and no counter went negative.
       const auto t = sched.profile().totals;
-      if (kind == sched_kind::wsmult) {
-        // Multiplicity accounting (DESIGN.md §9): a wsmult "steal" is any
-        // claim arbitration on an index the thief's snapshot said was
-        // occupied, so exactly-once consumption runs through the claim
-        // winners and the claim identity must balance the rest.
-        EXPECT_EQ(t.steals.get(),
-                  t.useful_steals.get() + t.claims_lost.get())
-            << to_string(kind) << " seed " << seed;
-        EXPECT_EQ(t.pushes.get(),
-                  t.pops_private.get() + t.useful_steals.get())
-            << to_string(kind) << " seed " << seed;
-      } else {
-        EXPECT_EQ(t.pushes.get(), t.pops_private.get() +
-                                      t.pops_public.get() + t.steals.get())
-            << to_string(kind) << " seed " << seed;
-      }
-      EXPECT_EQ(t.tasks_executed.get(), t.pushes.get() - t.unexposures.get())
-          << to_string(kind) << " seed " << seed;
+      expect_balanced(t, kind,
+                      to_string(kind) + std::string(" seed ") +
+                          std::to_string(seed));
       EXPECT_GE(t.steal_attempts.get(), t.steals.get() + t.steal_aborts.get());
       // Signal family: every counted exposure request resolved to exactly
       // one outcome — sent, recorded-failed, or (when the §6 health
@@ -312,20 +296,9 @@ TEST_P(FaultSweep, DequeGrowthRacingThievesCompletesExactlyOnce) {
       const std::uint64_t v = sched.run([&] { return deep_spine(sched, 1200); });
       EXPECT_EQ(v, 1201u) << to_string(kind) << " seed " << seed;
       const auto t = sched.profile().totals;
-      if (kind == sched_kind::wsmult) {
-        EXPECT_EQ(t.steals.get(),
-                  t.useful_steals.get() + t.claims_lost.get())
-            << to_string(kind) << " seed " << seed;
-        EXPECT_EQ(t.pushes.get(),
-                  t.pops_private.get() + t.useful_steals.get())
-            << to_string(kind) << " seed " << seed;
-      } else {
-        EXPECT_EQ(t.pushes.get(), t.pops_private.get() +
-                                      t.pops_public.get() + t.steals.get())
-            << to_string(kind) << " seed " << seed;
-      }
-      EXPECT_EQ(t.tasks_executed.get(), t.pushes.get() - t.unexposures.get())
-          << to_string(kind) << " seed " << seed;
+      expect_balanced(t, kind,
+                      to_string(kind) + std::string(" seed ") +
+                          std::to_string(seed));
       if (kind == sched_kind::private_deques) {
         EXPECT_EQ(t.deque_grows.get(), 0u) << to_string(kind);
       } else {

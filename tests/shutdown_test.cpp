@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "balance_identities.h"
 #include "sched/dispatch.h"
 #include "sched/scheduler.h"
 
@@ -51,10 +52,8 @@ TEST_P(Shutdown, RepeatedRunCyclesOnOneInstance) {
     for (int cycle = 0; cycle < 12; ++cycle) {
       EXPECT_EQ(sched.run([&] { return fib(sched, 14); }), 377u) << cycle;
     }
-    const auto t = sched.profile().totals;
-    EXPECT_EQ(t.pushes.get(),
-              t.pops_private.get() + t.pops_public.get() + t.steals.get());
-    EXPECT_EQ(t.tasks_executed.get(), t.pushes.get() - t.unexposures.get());
+    expect_balanced(sched.profile().totals, GetParam(),
+                    to_string(GetParam()));
   });
 }
 
