@@ -133,7 +133,26 @@ TEST(Integration, MixedPipelineAllSchedulers) {
 
 // The runner's counter profiles must reflect the family contracts on a
 // realistic workload (not just fib): WS exposes nothing; USLCWS signals
-// nothing; split-deque schedulers fence far less than WS.
+// nothing; and each deque's fences stay within the bound its header
+// guarantees under every schedule.
+//
+//   * WS (abp_deque.h): one fence per push_bottom and one per non-empty
+//     pop_bottom, so fences >= pushes + pops_private.
+//   * USLCWS and Signal (split_deque.h): the private path has no fence;
+//     only pop_public_bottom fences (Listing 2 lines 12 and 27). Every
+//     exposed task leaves the deque exactly once, by a public pop or a
+//     steal, and these policies never unexpose, so
+//     exposures == pops_public + steals. Only exposures raise public_bot;
+//     a pop_public_bottom call that fences lowers it by at least 1 and
+//     runs at most 2 fences. The scheduler is fresh, so public_bot starts
+//     at 0 on every deque: fencing calls <= exposures, and
+//     fences <= 2 * exposures.
+//
+// The LCWS/WS fence ratio itself tracks steals/pushes, which depends on
+// timing: this workload pushes only 64 tasks per round, and on real cores
+// 20-40% of them are stolen. The order-of-magnitude ratio is checked on
+// fine-grained work by
+// SchedulerComparison.SplitDequeSchedulersUseFarFewerFences.
 TEST(Integration, RunnerProfilesMatchFamilyContracts) {
   pbbs::clear_input_cache();
   const pbbs::config cfg{"comparisonSort", "randomSeq_double"};
@@ -147,8 +166,15 @@ TEST(Integration, RunnerProfilesMatchFamilyContracts) {
   EXPECT_EQ(ws.profile.totals.signals_sent, 0u);
   EXPECT_EQ(us.profile.totals.signals_sent, 0u);
   EXPECT_GT(ws.profile.totals.fences, 0u);
-  EXPECT_LT(us.profile.totals.fences * 5, ws.profile.totals.fences);
-  EXPECT_LT(sig.profile.totals.fences * 5, ws.profile.totals.fences);
+
+  const auto& w = ws.profile.totals;
+  EXPECT_GE(w.fences.get(), w.pushes + w.pops_private);
+  for (const auto* r : {&us, &sig}) {
+    const auto& t = r->profile.totals;
+    SCOPED_TRACE(r == &us ? "uslcws" : "signal");
+    EXPECT_EQ(t.exposures.get(), t.pops_public + t.steals);
+    EXPECT_LE(t.fences.get(), 2 * t.exposures);
+  }
   pbbs::clear_input_cache();
 }
 
