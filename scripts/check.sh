@@ -67,6 +67,12 @@ LCWS_TRACE=build/trace_smoke.json LCWS_TRACE_RING=65536 \
   build/bench/micro_idle > /dev/null
 python3 scripts/trace_summary.py build/trace_smoke.json --check
 
+# Benchmark self-test: builds perfbench/ (its own CMake project) and runs
+# every workload at tiny sizes, checking the metric names BENCHMARK.json
+# declares and the exact P=1 fib(27) sync-op counts.
+echo "== perfbench self-test =="
+python3 perfbench/selftest.py
+
 echo "== preset: asan (hardening suites) =="
 cmake --preset asan
 cmake --build --preset asan -j "${jobs}"

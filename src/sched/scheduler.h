@@ -4,9 +4,13 @@
 // Shape follows Parlay's scheduler (the paper's host runtime): the
 // constructing thread is worker 0 and participates in every computation;
 // P-1 additional workers are spawned once and persist. A fork (`pardo`)
-// pushes the right branch as a stack-allocated job onto the forker's deque,
-// runs the left branch inline, then joins by executing whatever work the
-// scheduler hands it until the right branch is done (help-first join).
+// pushes the right branch as a stack-allocated job onto the forker's deque
+// and runs the left branch inline. The join pops the forker's own deque
+// once, through the family's get_local: when that pop hands the right
+// branch back unstolen — the common case — pardo calls it directly, with
+// no type-erased call, done_ publish or join loop. Only a stolen branch
+// makes the forker help, executing whatever work the scheduler hands it
+// until the thief publishes done (DESIGN.md §4 item 10).
 //
 // The per-family scheduling logic — Listing 1 (USLCWS) and Listing 3
 // (signal-based) of the paper — lives in get_local()/try_steal() below and
@@ -79,8 +83,8 @@
 //     steal-success EWMA; every LCWS_EXPLORE_PERIOD-th pick is uniform so
 //     remote victims (and the §6 probe cadence) are never starved.
 //   * Successful steals are classified near/remote + per tier
-//     (stats/counters.h): steals == steals_near + steals_remote while the
-//     layer is on.
+//     (stats/counters.h): steals - claims_lost == steals_near +
+//     steals_remote while the layer is on.
 //   * LCWS_LOCALITY_OFF=1 (or the constructor knob) removes the layer:
 //     no pinning, and victim choice is the legacy uniform rng draw
 //     bit-for-bit.
@@ -434,7 +438,7 @@ class scheduler {
     push(self, &right_job);
     if constexpr (std::is_nothrow_invocable_v<L&>) {
       left();
-      join(self, right_job);
+      if (join(self, right_job)) run_inline(right, right_job);
     } else {
       std::exception_ptr left_ex;
       try {
@@ -442,7 +446,7 @@ class scheduler {
       } catch (...) {
         left_ex = std::current_exception();
       }
-      join(self, right_job);
+      if (join(self, right_job)) run_inline(right, right_job);
       if (left_ex != nullptr) std::rethrow_exception(left_ex);
     }
     right_job.rethrow_if_exception();
@@ -1216,13 +1220,14 @@ class scheduler {
     return task;
   }
 
-  found_task find_task(std::size_t self) {
+  found_task find_task(std::size_t self, bool quiesce = true) {
     // Quiescent point (DESIGN.md §8): between deque operations this worker
     // provably holds no deque-buffer pointer, so announce the epoch. One
     // acquire load + one release store to this worker's own slot — no
     // fence, no CAS — and it unblocks reclamation of storage retired by
-    // any grown deque in the pool.
-    reclaim_.quiesce(workers_[self]->reader);
+    // any grown deque in the pool. A join's first round skips it (§4
+    // item 10): skipping only delays reclamation.
+    if (quiesce) reclaim_.quiesce(workers_[self]->reader);
     if (job* task = get_local(self)) return {task, false};
     return {steal_once(self), true};
   }
@@ -1331,14 +1336,21 @@ class scheduler {
 
   // ---- join / worker loop --------------------------------------------------
 
-  void join(std::size_t self, job& waited) {
+  // Joins `waited`, the right branch this worker pushed (DESIGN.md §4 item
+  // 10). Returns true when this worker's own pop hands `waited` back
+  // unstolen; the caller then runs it inline. Otherwise this worker helps —
+  // runs local or stolen tasks — until the thief publishes done. The first
+  // round skips find_task's quiesce, so the unstolen case costs one pop.
+  bool join(std::size_t self, job& waited) {
     backoff bo;
     std::uint32_t failures = 0;
     // Relaxed peek while helping; the acquire that orders the joined task's
-    // writes is paid once, on exit (see the fence below), instead of on
+    // writes is paid once, on exit (see the re-load below), instead of on
     // every spin iteration.
-    while (!waited.is_done_relaxed()) {
-      if (found_task f = find_task(self)) {
+    for (bool first = true; !waited.is_done_relaxed(); first = false) {
+      const found_task f = find_task(self, /*quiesce=*/!first);
+      if (f.task == &waited) return true;
+      if (f) {
         run_task(self, f);
         bo.reset();
         failures = 0;
@@ -1365,6 +1377,28 @@ class scheduler {
     // cannot model fences — gcc's -Wtsan flags it — and this is the cold
     // exit path).
     (void)waited.is_done();
+    return false;
+  }
+
+  // Runs the right branch that join popped back unstolen, as a direct call.
+  // Counters and trace slice match run_task's for a local task; skipped
+  // are execute()'s type-erased call and its done_ publish, which only a
+  // thief's joiner needs. A throw is captured into `right_job` exactly as
+  // lambda_job would capture it, so pardo's rethrow order is unchanged.
+  template <typename R>
+  static void run_inline(R& right, job& right_job) {
+    trace::emit(trace::event::task_begin, 0);
+    stats::count_task_executed();
+    if constexpr (std::is_nothrow_invocable_v<R&>) {
+      right();
+    } else {
+      try {
+        right();
+      } catch (...) {
+        right_job.set_exception(std::current_exception());
+      }
+    }
+    trace::emit(trace::event::task_end);
   }
 
   void worker_loop(std::size_t id) {

@@ -7,7 +7,8 @@
 //
 // Counting must not perturb what it measures: each worker increments a
 // plain (non-atomic) cache-line-private block through a thread-local
-// pointer; aggregation only happens when a harness asks for totals.
+// pointer defined inline below, so a count_* is a TLS load and an add with
+// no call; aggregation only happens when a harness asks for totals.
 // Define LCWS_NO_STATS to compile the counting away entirely.
 #pragma once
 
@@ -91,10 +92,12 @@ struct op_counters {
                                    // found the slot already claimed
   // Locality split of successful steals (DESIGN.md §7). Maintained only
   // while the locality layer is on; there the accounting identity
-  //   steals == steals_near + steals_remote
-  //          == sum(steals_by_tier)
-  // holds (equivalently steal_attempts == steals_near + steals_remote +
-  // failed attempts). With LCWS_LOCALITY_OFF all of these stay zero.
+  //   steals - claims_lost == steals_near + steals_remote
+  //                        == sum(steals_by_tier)
+  // holds: only steals that hand the thief a task are classified, and a
+  // WS-mult steal whose claim exchange lost hands it none (claims_lost is
+  // 0 for every other scheduler). With LCWS_LOCALITY_OFF all of these stay
+  // zero.
   relaxed_counter steals_near;     // victim shared a cache (smt/core/llc)
   relaxed_counter steals_remote;   // victim across an LLC/socket/NUMA edge
   relaxed_counter steals_by_tier[kStealTierCount];  // indexed by
@@ -197,14 +200,28 @@ struct profile {
 
 // ---- per-thread counting interface --------------------------------------
 
+namespace detail {
+// Defined inline here, not in counters.cpp, so every count_* compiles to a
+// TLS load and an increment instead of a call. constinit: both are
+// constant-initialized, so no access pays a TLS init guard (and the signal
+// handler's counting stays async-signal-safe).
+inline constinit thread_local op_counters* tl_active_counters = nullptr;
+inline constinit thread_local op_counters tl_fallback_counters;
+}  // namespace detail
+
 // Returns the calling thread's active counter block. Worker pools point
 // this at a pool-owned, cache-aligned per-worker block for the duration of
 // a run; other threads fall back to a thread_local block.
-op_counters& local_counters() noexcept;
+inline op_counters& local_counters() noexcept {
+  op_counters* const block = detail::tl_active_counters;
+  return block != nullptr ? *block : detail::tl_fallback_counters;
+}
 
 // Redirects this thread's counting to `block` (nullptr restores the
 // thread_local fallback). Used by worker pools.
-void set_local_counters(op_counters* block) noexcept;
+inline void set_local_counters(op_counters* block) noexcept {
+  detail::tl_active_counters = block;
+}
 
 #ifdef LCWS_NO_STATS
 inline void count_fence() noexcept {}

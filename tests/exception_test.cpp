@@ -62,8 +62,13 @@ using all_schedulers =
 
 TYPED_TEST_SUITE(ExceptionTest, all_schedulers);
 
-TYPED_TEST(ExceptionTest, RightBranchThrowRethrowsAtSpawnSite) {
-  TypeParam sched(4);
+// The three branch-throw contracts, run at P=4 and at P=1. At P=1 nothing
+// is ever stolen, so every right branch comes back from the owner's own pop
+// and runs inline at the join; at P=4 it may also run on a thief. Both join
+// paths must give the same result.
+template <typename Sched>
+void expect_right_throw_rethrows_at_spawn_site(std::size_t workers) {
+  Sched sched(workers);
   EXPECT_THROW(sched.run([&] {
     sched.pardo([] {}, [] { throw test_error("right"); });
   }),
@@ -71,8 +76,9 @@ TYPED_TEST(ExceptionTest, RightBranchThrowRethrowsAtSpawnSite) {
   expect_healthy(sched);
 }
 
-TYPED_TEST(ExceptionTest, LeftBranchThrowStillDrainsRight) {
-  TypeParam sched(4);
+template <typename Sched>
+void expect_left_throw_still_drains_right(std::size_t workers) {
+  Sched sched(workers);
   std::atomic<bool> right_ran{false};
   try {
     sched.run([&] {
@@ -92,8 +98,9 @@ TYPED_TEST(ExceptionTest, LeftBranchThrowStillDrainsRight) {
   expect_healthy(sched);
 }
 
-TYPED_TEST(ExceptionTest, BothBranchesThrowLeftWins) {
-  TypeParam sched(4);
+template <typename Sched>
+void expect_both_throw_left_wins(std::size_t workers) {
+  Sched sched(workers);
   try {
     sched.run([&] {
       sched.pardo([] { throw test_error("left"); },
@@ -104,6 +111,30 @@ TYPED_TEST(ExceptionTest, BothBranchesThrowLeftWins) {
     EXPECT_STREQ(e.what(), "left");
   }
   expect_healthy(sched);
+}
+
+TYPED_TEST(ExceptionTest, RightBranchThrowRethrowsAtSpawnSite) {
+  expect_right_throw_rethrows_at_spawn_site<TypeParam>(4);
+}
+
+TYPED_TEST(ExceptionTest, RightBranchThrowRethrowsAtSpawnSiteOneWorker) {
+  expect_right_throw_rethrows_at_spawn_site<TypeParam>(1);
+}
+
+TYPED_TEST(ExceptionTest, LeftBranchThrowStillDrainsRight) {
+  expect_left_throw_still_drains_right<TypeParam>(4);
+}
+
+TYPED_TEST(ExceptionTest, LeftBranchThrowStillDrainsRightOneWorker) {
+  expect_left_throw_still_drains_right<TypeParam>(1);
+}
+
+TYPED_TEST(ExceptionTest, BothBranchesThrowLeftWins) {
+  expect_both_throw_left_wins<TypeParam>(4);
+}
+
+TYPED_TEST(ExceptionTest, BothBranchesThrowLeftWinsOneWorker) {
+  expect_both_throw_left_wins<TypeParam>(1);
 }
 
 // A task that throws after announcing it has started. With the spawner

@@ -132,14 +132,34 @@ TEST(Parking, SingleWorkerPoolNeverParks) {
 // thrown, the parking counters must stay exactly zero.
 TEST(Parking, EngagesWhenIdleAndKillSwitchIsInert) {
   for (const sched_kind kind : all_sched_kinds) {
+    // An idle worker parks after kParkAfterFailures fruitless rounds. Under
+    // CPU load the 7 idle workers may not get that many rounds within one
+    // 50 ms run, and nothing promises they do, so the parking-on pool
+    // repeats the run until a park shows (for at most 2 s) and the
+    // parking-off pool then makes as many runs.
+    int runs = 0;
     for (const bool on : {true, false}) {
       with_scheduler(
           kind, 8, on ? parking_mode::enabled : parking_mode::disabled,
           [&](auto& sched) {
             EXPECT_EQ(sched.parking_active(), on) << to_string(kind);
             sched.reset_counters();
-            sched.run([&] { spin_for_ns(50'000'000); });
-            const auto t = sched.profile().totals;
+            stats::op_counters t;
+            if (on) {
+              const auto give_up =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(2);
+              do {
+                sched.run([&] { spin_for_ns(50'000'000); });
+                ++runs;
+                t = sched.profile().totals;  // a consistent cut between runs
+              } while (t.parks == 0 &&
+                       std::chrono::steady_clock::now() < give_up);
+            } else {
+              for (int i = 0; i < runs; ++i) {
+                sched.run([&] { spin_for_ns(50'000'000); });
+              }
+              t = sched.profile().totals;
+            }
             if (on) {
               EXPECT_GT(t.parks, 0u) << to_string(kind);
               EXPECT_GT(t.idle_ns, 0u) << to_string(kind);

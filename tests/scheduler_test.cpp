@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -224,6 +225,48 @@ TEST(SchedulerComparison, SplitDequeSchedulersUseFarFewerFences) {
   // claim to stay robust against scheduling noise.
   EXPECT_LT(us_totals.fences * 10, ws_totals.fences);
   EXPECT_LT(sig_totals.fences * 10, ws_totals.fences);
+}
+
+// Exact sync-op counts of fib(20) at P=1. With one worker nothing is stolen
+// or exposed, so each count is a pure function of the owner path: fib(20)
+// with cutoff 12 forks 88 times, and every right branch is popped back by
+// its own join. WS fences once per push and once per pop and CASes only when
+// a pop meets the last task; every split-deque, mailbox and WS-mult owner
+// path is fence- and CAS-free. The values were recorded from a join that
+// ran every popped branch through find_task and the type-erased execute();
+// the inline join must issue exactly the same deque calls.
+struct owner_counts {
+  std::uint64_t pushes, pops_private, tasks_executed, fences, cas;
+  bool operator==(const owner_counts&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const owner_counts& c) {
+    return os << "{pushes=" << c.pushes << " pops_private=" << c.pops_private
+              << " tasks_executed=" << c.tasks_executed
+              << " fences=" << c.fences << " cas=" << c.cas << "}";
+  }
+};
+
+template <typename Sched>
+owner_counts fib20_counts_at_one_worker() {
+  Sched sched(1);
+  sched.reset_counters();
+  EXPECT_EQ(sched.run([&] { return fib(sched, 20); }), 6765u);
+  const auto t = sched.profile().totals;
+  return {t.pushes.get(), t.pops_private.get(), t.tasks_executed.get(),
+          t.fences.get(), t.cas.get()};
+}
+
+TEST(SchedulerCounts, Fib20AtOneWorkerIsExactForEveryScheduler) {
+  const owner_counts fence_free{88, 88, 88, 0, 0};
+  EXPECT_EQ(fib20_counts_at_one_worker<ws_scheduler>(),
+            (owner_counts{88, 88, 88, 176, 5}));
+  EXPECT_EQ(fib20_counts_at_one_worker<uslcws_scheduler>(), fence_free);
+  EXPECT_EQ(fib20_counts_at_one_worker<signal_scheduler>(), fence_free);
+  EXPECT_EQ(fib20_counts_at_one_worker<conservative_scheduler>(), fence_free);
+  EXPECT_EQ(fib20_counts_at_one_worker<expose_half_scheduler>(), fence_free);
+  EXPECT_EQ(fib20_counts_at_one_worker<private_deques_scheduler>(),
+            fence_free);
+  EXPECT_EQ(fib20_counts_at_one_worker<lace_scheduler>(), fence_free);
+  EXPECT_EQ(fib20_counts_at_one_worker<wsmult_scheduler>(), fence_free);
 }
 
 TEST(SchedulerComparison, WsNeverExposesOrSignals) {
