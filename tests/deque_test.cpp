@@ -26,6 +26,21 @@ std::vector<int> make_arena(int n) {
   return arena;
 }
 
+// Owner side of the growth stress tests: pushes the next 1..64 tasks back
+// to back. One push per loop turn, with a read of the thieves' contended
+// `consumed` counter in between, costs about what a steal costs, so three
+// thieves can keep the deque under its initial capacity for a whole run
+// and the growth race under test never happens. A burst runs ahead of
+// them and grows the deque while they steal.
+template <typename Deque>
+void push_burst(Deque& d, std::vector<int>& arena, int& pushed, int total,
+                xoshiro256& rng) {
+  for (auto k = 1 + rng.bounded(64); k > 0 && pushed < total; --k) {
+    d.push_bottom(&arena[static_cast<std::size_t>(pushed)]);
+    ++pushed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ABP deque
 // ---------------------------------------------------------------------------
@@ -1044,8 +1059,7 @@ TEST(ChaseLevDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
   int pushed = 0;
   while (consumed.load(std::memory_order_relaxed) < total) {
     if (pushed < total && rng.bounded(3) != 0) {
-      d.push_bottom(&arena[static_cast<std::size_t>(pushed)]);
-      ++pushed;
+      push_burst(d, arena, pushed, total, rng);
     } else {
       if (int* t = d.pop_bottom()) {
         taken[static_cast<std::size_t>(*t)].fetch_add(1);
@@ -1229,8 +1243,7 @@ TEST(WsmultDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
   int pushed = 0;
   while (consumed.load(std::memory_order_relaxed) < total) {
     if (pushed < total && rng.bounded(3) != 0) {
-      d.push_bottom(&arena[static_cast<std::size_t>(pushed)]);
-      ++pushed;
+      push_burst(d, arena, pushed, total, rng);
     } else {
       if (int* t = d.pop_bottom()) {
         taken[static_cast<std::size_t>(*t)].fetch_add(1);
